@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.local.LocalGraph
+import repro.local.{LocalGraph, Par}
 
 /** A DSD density metric `g(S) = f(S)/|S|` in Dupin's framework (§2.1).
   *
@@ -118,11 +118,29 @@ trait MetricState {
   final def activeSet: Array[Int] = (0 until n).filter(isActive).toArray
 }
 
-/** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv. */
-final class EdgeMetricState(g: LocalGraph) extends MetricState {
+/** Active-set bookkeeping shared by the CSR-backed states. */
+sealed abstract class CsrMetricState(g: LocalGraph) extends MetricState {
   val n: Int = g.n
-  private val act = Array.fill(n)(true)
-  private var cnt = n
+  protected val act: Array[Boolean] = Array.fill(n)(true)
+  protected var cnt: Int = n
+
+  def activeCount: Int = cnt
+  def isActive(u: Int): Boolean = act(u)
+
+  /** u's active neighbors, sorted (adjacency lists are). */
+  def activeNeighbors(u: Int): Array[Int] = {
+    val lo = g.offsets(u); val hi = g.offsets(u + 1)
+    var k = 0; var i = lo
+    while (i < hi) { if (act(g.nbrs(i))) k += 1; i += 1 }
+    val out = new Array[Int](k)
+    k = 0; i = lo
+    while (i < hi) { if (act(g.nbrs(i))) { out(k) = g.nbrs(i); k += 1 }; i += 1 }
+    out
+  }
+}
+
+/** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv. */
+final class EdgeMetricState(g: LocalGraph) extends CsrMetricState(g) {
   private val wArr = {
     val a = new Array[Double](n)
     var u = 0
@@ -139,17 +157,8 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
     s + g.totalEdgeWeight
   }
 
-  def activeCount: Int = cnt
-  def isActive(u: Int): Boolean = act(u)
   def f: Double = fVal
   def w(u: Int): Double = wArr(u)
-
-  def activeNeighbors(u: Int): Array[Int] = {
-    val buf = new scala.collection.mutable.ArrayBuffer[Int]()
-    var i = g.offsets(u)
-    while (i < g.offsets(u + 1)) { if (act(g.nbrs(i))) buf += g.nbrs(i); i += 1 }
-    buf.toArray
-  }
 
   def remove(u: Int): Unit = {
     require(act(u), s"remove($u): not active")
@@ -166,179 +175,209 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
 }
 
 /** Clique-count peeling state for TDS (k=3) / kCLiDS (k=4): w_u is the
-  * number of active k-cliques containing u, f = Σ w_u / k. Removal
-  * enumerates the cliques through u and decrements the other members;
-  * `removeBatch` does this for a whole peeling round in parallel (counts
-  * are integers, so atomic decrements keep results bit-deterministic
-  * regardless of thread interleaving).
+  * number of active k-cliques containing u, f = Σ w_u / k.
+  *
+  * Both kernels list cliques over a degree ordering (Chiba & Nishizeki,
+  * SIAM J. Comput. 1985; kClist, WWW'18): vertices are ranked by
+  * (degree, id) and `out(a)` keeps only a's higher-ranked neighbors, so
+  * out-lists stay short even at hubs. The common neighbors of a partial
+  * clique are stamped into a worker-private marker array, and each edge
+  * among them is found once, from its lower-ranked end's out-list. Workers
+  * accumulate count deltas privately and the deltas are summed afterwards:
+  * counts are integers, so w and f are bit-identical at every thread count
+  * and no shared counter is written concurrently.
   */
-final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1) extends MetricState {
-  val n: Int = g.n
-  private val act = Array.fill(n)(true)
-  private var cnt = n
-  private val c = new java.util.concurrent.atomic.AtomicIntegerArray(n)
+final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1)
+    extends CsrMetricState(g) {
+  require(cliqueK == 3 || cliqueK == 4, s"clique size $cliqueK not in {3,4}")
+  private val c = new Array[Int](n)
   private var fVal = 0.0
 
-  locally { // initial clique counts via canonical enumeration a<b<(c<d),
-            // parallel over the first member a (atomic integer increments
-            // keep the result bit-deterministic under any interleaving)
-    val total = new java.util.concurrent.atomic.LongAdder
-    repro.local.Par.parallelFor(n, initThreads, minPar = 16) { a =>
-      var i = g.offsets(a)
+  private def ranksBelow(a: Int, b: Int): Boolean = {
+    val da = g.degree(a); val db = g.degree(b)
+    da < db || (da == db && a < b)
+  }
+  // Out-adjacency CSR of the degree orientation.
+  private val outOff: Array[Int] = {
+    val off = new Array[Int](n + 1)
+    Par.parallelFor(n, initThreads) { a =>
+      var d = 0; var i = g.offsets(a)
+      while (i < g.offsets(a + 1)) { if (ranksBelow(a, g.nbrs(i))) d += 1; i += 1 }
+      off(a + 1) = d
+    }
+    var a = 0
+    while (a < n) { off(a + 1) += off(a); a += 1 }
+    off
+  }
+  private val outNbr: Array[Int] = {
+    val out = new Array[Int](outOff(n))
+    Par.parallelFor(n, initThreads) { a =>
+      var k = outOff(a); var i = g.offsets(a)
       while (i < g.offsets(a + 1)) {
-        val b = g.nbrs(i)
-        if (a < b) {
-          // common neighbors x > b of a and b (sorted-list intersection)
-          var pa = g.offsets(a); var pb = g.offsets(b)
-          val ea = g.offsets(a + 1); val eb = g.offsets(b + 1)
-          val common = new scala.collection.mutable.ArrayBuffer[Int]()
-          while (pa < ea && pb < eb) {
-            val x = g.nbrs(pa); val y = g.nbrs(pb)
-            if (x == y) { if (x > b) common += x; pa += 1; pb += 1 }
-            else if (x < y) pa += 1
-            else pb += 1
-          }
-          if (cliqueK == 3) {
-            common.foreach { x =>
-              c.incrementAndGet(a); c.incrementAndGet(b); c.incrementAndGet(x)
-              total.increment()
-            }
-          } else {
-            var ii = 0
-            while (ii < common.length) {
-              var jj = ii + 1
-              while (jj < common.length) {
-                if (g.hasEdge(common(ii), common(jj))) {
-                  c.incrementAndGet(a); c.incrementAndGet(b)
-                  c.incrementAndGet(common(ii)); c.incrementAndGet(common(jj))
-                  total.increment()
-                }
-                jj += 1
-              }
-              ii += 1
-            }
-          }
-        }
+        if (ranksBelow(a, g.nbrs(i))) { out(k) = g.nbrs(i); k += 1 }
         i += 1
       }
     }
-    fVal = total.sum.toDouble
+    out
+  }
+  private val maxDegree = (0 until n).iterator.map(g.degree).maxOption.getOrElse(0)
+
+  /** One worker's scratch: an epoch-stamped marker array, candidate
+    * buffers, and count deltas with the list of vertices they touch.
+    */
+  private final class Scratch {
+    val mark = new Array[Int](n)
+    private var stamp = 0
+    val nbrBuf = new Array[Int](maxDegree)
+    val cand = new Array[Int](maxDegree)
+    private val delta = new Array[Int](n)
+    private val touched = new Array[Int](n)
+    private var nTouched = 0
+    var cliques = 0L
+
+    /** A positive stamp no marker holds. */
+    def fresh(): Int = {
+      if (stamp == Int.MaxValue) { java.util.Arrays.fill(mark, 0); stamp = 0 }
+      stamp += 1; stamp
+    }
+    def add(v: Int, d: Int): Unit = if (d != 0) {
+      if (delta(v) == 0) { touched(nTouched) = v; nTouched += 1 }
+      delta(v) += d
+    }
+    /** Folds the deltas into the counts and returns the cliques listed. */
+    def drain(): Long = {
+      var i = 0
+      while (i < nTouched) { val v = touched(i); c(v) += delta(v); delta(v) = 0; i += 1 }
+      nTouched = 0
+      val k = cliques; cliques = 0; k
+    }
+  }
+  private val idle = new java.util.ArrayDeque[Scratch]()
+  private def borrow(): Scratch = idle.synchronized {
+    if (idle.isEmpty) new Scratch else idle.pop()
+  }
+  private def release(s: Scratch): Unit = idle.synchronized(idle.push(s))
+
+  /** Runs `body(s, i)` for i in [0, len) in chunks on `threads` workers,
+    * each chunk on a borrowed scratch, then sums every scratch's deltas
+    * into the counts. Returns the number of cliques the workers listed.
+    */
+  private def fanOut(len: Int, threads: Int, minPar: Int)(body: (Scratch, Int) => Unit): Long = {
+    val chunks = if (threads <= 1 || len < minPar) 1 else math.min(len, 8 * threads)
+    Par.parallelFor(chunks, threads, minPar = 2) { ch =>
+      val s = borrow()
+      var i = (len.toLong * ch / chunks).toInt
+      val hi = (len.toLong * (ch + 1) / chunks).toInt
+      while (i < hi) { body(s, i); i += 1 }
+      release(s)
+    }
+    var total = 0L
+    idle.forEach(s => total += s.drain())
+    total
   }
 
-  def activeCount: Int = cnt
-  def isActive(u: Int): Boolean = act(u)
-  def f: Double = fVal
-  def w(u: Int): Double = c.get(u).toDouble
-
-  /** Active neighbors of u as an array (sorted, since adjacency is). */
-  def activeNeighbors(u: Int): Array[Int] = activeNbrs(u)
-
-  private def activeNbrs(u: Int): Array[Int] = {
-    val buf = new scala.collection.mutable.ArrayBuffer[Int]()
-    var i = g.offsets(u)
-    while (i < g.offsets(u + 1)) { if (act(g.nbrs(i))) buf += g.nbrs(i); i += 1 }
-    buf.toArray
-  }
-
-  def remove(u: Int): Unit = {
-    require(act(u), s"remove($u): not active")
-    val nb = activeNbrs(u)
+  /** Lists the cliques closed by `cand(0 until nc)`, the common neighbors
+    * of a clique's first k-2 members, all stamped `e`: each candidate for
+    * TDS, each edge inside the set for kCLiDS-4 (its candidates are
+    * re-stamped `-e` meanwhile). Adds `d` to the count of every candidate
+    * in one, and returns how many there are.
+    */
+  private def closeCliques(s: Scratch, nc: Int, e: Int, d: Int): Int =
     if (cliqueK == 3) {
-      var i = 0
-      while (i < nb.length) {
-        var j = i + 1
-        while (j < nb.length) {
-          if (g.hasEdge(nb(i), nb(j))) { c.decrementAndGet(nb(i)); c.decrementAndGet(nb(j)) }
-          j += 1
-        }
-        i += 1
-      }
+      var j = 0
+      while (j < nc) { s.add(s.cand(j), d); j += 1 }
+      nc
     } else {
-      var i = 0
-      while (i < nb.length) {
-        var j = i + 1
-        while (j < nb.length) {
-          if (g.hasEdge(nb(i), nb(j))) {
-            var l = j + 1
-            while (l < nb.length) {
-              if (g.hasEdge(nb(i), nb(l)) && g.hasEdge(nb(j), nb(l))) {
-                c.decrementAndGet(nb(i)); c.decrementAndGet(nb(j)); c.decrementAndGet(nb(l))
-              }
-              l += 1
-            }
-          }
-          j += 1
+      var j = 0
+      while (j < nc) { s.mark(s.cand(j)) = -e; j += 1 }
+      var total = 0
+      j = 0
+      while (j < nc) {
+        val x = s.cand(j)
+        var q = 0; var i = outOff(x)
+        while (i < outOff(x + 1)) {
+          val y = outNbr(i)
+          if (s.mark(y) == -e) { s.add(y, d); q += 1 }
+          i += 1
         }
+        s.add(x, d * q); total += q
+        j += 1
+      }
+      j = 0
+      while (j < nc) { s.mark(s.cand(j)) = e; j += 1 }
+      total
+    }
+
+  /** For each root v in `roots(ro until ro + nr)`, collects the stamped
+    * part of out(v) (`mark` = e: the common neighbors of the caller's
+    * vertex) and lists the cliques it closes with v. Adds `d` to the counts
+    * of v and the closing members, and returns how many were listed; the
+    * caller's own vertex is left to the caller.
+    */
+  private def listFrom(s: Scratch, roots: Array[Int], ro: Int, nr: Int, e: Int, d: Int): Int = {
+    var total = 0; var r = ro
+    while (r < ro + nr) {
+      val v = roots(r)
+      var nc = 0; var i = outOff(v)
+      while (i < outOff(v + 1)) {
+        val x = outNbr(i)
+        if (s.mark(x) == e) { s.cand(nc) = x; nc += 1 }
         i += 1
       }
+      val k = closeCliques(s, nc, e, d)
+      s.add(v, d * k); total += k
+      r += 1
     }
-    fVal -= c.get(u)
-    act(u) = false; c.set(u, 0); cnt -= 1
-    if (cnt == 0) fVal = 0.0
+    total
   }
 
-  /** Parallel round removal: each batch vertex enumerates its cliques; a
-    * clique containing several batch vertices is owned by the smallest so
-    * it is counted (and its survivors decremented) exactly once.
+  // Initial counts: each clique is listed once, from its lowest-ranked
+  // member a, with every other member in out(a).
+  locally {
+    fVal = fanOut(n, initThreads, minPar = 16) { (s, a) =>
+      val e = s.fresh()
+      var i = outOff(a)
+      while (i < outOff(a + 1)) { s.mark(outNbr(i)) = e; i += 1 }
+      val k = listFrom(s, outNbr, outOff(a), outOff(a + 1) - outOff(a), e, 1)
+      s.add(a, k); s.cliques += k
+    }.toDouble
+  }
+
+  def f: Double = fVal
+  def w(u: Int): Double = c(u).toDouble
+
+  def remove(u: Int): Unit = removeBatch(Array(u), 1)
+
+  // Batch membership, stamped with the removeBatch call number (at most n
+  // calls, since each removes a vertex).
+  private val batchMark = new Array[Int](n)
+  private var batchNo = 0
+
+  /** Removes a peeling batch in parallel. A clique with several batch
+    * members is owned by the smallest, so it is listed (and its survivors
+    * decremented) exactly once: u stamps its owned neighbors — active, and
+    * not a batch member below u — and lists the cliques among them.
     */
   override def removeBatch(us: Array[Int], threads: Int): Unit = {
-    if (us.length <= 1) { us.foreach(remove); return }
-    us.foreach(u => require(act(u), s"removeBatch($u): not active"))
-    val inBatch = new Array[Boolean](n)
-    us.foreach(inBatch(_) = true)
-    val killed = new java.util.concurrent.atomic.LongAdder
-    repro.local.Par.parallelFor(us.length, threads, minPar = 8) { idx =>
-      val u = us(idx)
-      val nb = activeNbrs(u)
-      @inline def ownedHere(v: Int) = !inBatch(v) || v > u
-      if (cliqueK == 3) {
-        var i = 0
-        while (i < nb.length) {
-          val v = nb(i)
-          if (ownedHere(v)) {
-            var j = i + 1
-            while (j < nb.length) {
-              val x = nb(j)
-              if (ownedHere(x) && g.hasEdge(v, x)) {
-                killed.increment()
-                if (!inBatch(v)) c.decrementAndGet(v)
-                if (!inBatch(x)) c.decrementAndGet(x)
-              }
-              j += 1
-            }
-          }
-          i += 1
-        }
-      } else {
-        var i = 0
-        while (i < nb.length) {
-          val v = nb(i)
-          if (ownedHere(v)) {
-            var j = i + 1
-            while (j < nb.length) {
-              val x = nb(j)
-              if (ownedHere(x) && g.hasEdge(v, x)) {
-                var l = j + 1
-                while (l < nb.length) {
-                  val y = nb(l)
-                  if (ownedHere(y) && g.hasEdge(v, y) && g.hasEdge(x, y)) {
-                    killed.increment()
-                    if (!inBatch(v)) c.decrementAndGet(v)
-                    if (!inBatch(x)) c.decrementAndGet(x)
-                    if (!inBatch(y)) c.decrementAndGet(y)
-                  }
-                  l += 1
-                }
-              }
-              j += 1
-            }
-          }
-          i += 1
-        }
-      }
+    batchNo += 1
+    val b = batchNo
+    us.foreach { u =>
+      require(act(u) && batchMark(u) != b, s"remove($u): not active")
+      batchMark(u) = b
     }
-    us.foreach { u => act(u) = false; c.set(u, 0); cnt -= 1 }
-    fVal -= killed.sum.toDouble
+    val killed = fanOut(us.length, threads, minPar = 8) { (s, idx) =>
+      val u = us(idx)
+      val e = s.fresh()
+      var nr = 0; var i = g.offsets(u)
+      while (i < g.offsets(u + 1)) {
+        val v = g.nbrs(i)
+        if (act(v) && (batchMark(v) != b || v > u)) { s.mark(v) = e; s.nbrBuf(nr) = v; nr += 1 }
+        i += 1
+      }
+      s.cliques += listFrom(s, s.nbrBuf, 0, nr, e, -1)
+    }
+    us.foreach { u => act(u) = false; c(u) = 0; cnt -= 1 }
+    fVal -= killed.toDouble
     if (cnt == 0) fVal = 0.0
   }
 }

@@ -91,7 +91,7 @@ object Tables {
       row("% Reduction (LPO)", "RedLPO", s => f"${s.redLpo}%.2f%%"),
     )
     (TableIO.emit("table3",
-      TableIO.render("Table 3: Impact of GPO and LPO on peeling rounds (dataset la, eps=0.1)",
+      TableIO.render("Table 3: Impact of GPO and LPO on peeling rounds (dataset la, eps=0)",
         headers, rows)), stats)
   }
 

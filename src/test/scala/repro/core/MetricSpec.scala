@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.local.LocalGraph
 import repro.testkit.Check.forAll
@@ -190,6 +191,83 @@ class MetricSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  // Random 20–40-vertex graphs built to stress the degree ordering: a
+  // circulant ring C_n(1,2) gives most vertices the same degree (rank ties
+  // broken by id), a hub sits next to most of the ring, and a dense block
+  // plus random chords add 4-cliques.
+  private val genTiedGraph: Gen[LocalGraph] =
+    for { n <- Gen.choose(20, 40); seed <- Gen.choose(0L, Long.MaxValue) } yield {
+      val rnd = new scala.util.Random(seed)
+      val hub = rnd.nextInt(n)
+      val block = rnd.nextInt(n - 8)
+      val edges =
+        (for (i <- 0 until n; s <- 1 to 2) yield (i, (i + s) % n, 1.0)) ++
+        (for (v <- 0 until n if rnd.nextDouble() < 0.8) yield (hub, v, 1.0)) ++
+        (for (i <- block until block + 8; j <- i + 1 until block + 8 if rnd.nextDouble() < 0.7)
+          yield (i, j, 1.0)) ++
+        Seq.fill(n / 2)((rnd.nextInt(n), rnd.nextInt(n), 1.0))
+      LocalGraph.fromEdges(n, edges)
+    }
+
+  /** Per-vertex k-clique counts of G[active] and their total, by extending
+    * every increasing vertex sequence one mutually adjacent vertex at a time.
+    */
+  private def bruteCliques(g: LocalGraph, k: Int, active: Set[Int]): (Array[Int], Long) = {
+    val per = new Array[Int](g.n)
+    var total = 0L
+    def extend(clique: List[Int], from: Int): Unit =
+      if (clique.length == k) { total += 1; clique.foreach(per(_) += 1) }
+      else for (v <- from until g.n if active(v) && clique.forall(g.hasEdge(_, v)))
+        extend(v :: clique, v + 1)
+    extend(Nil, 0)
+    (per, total)
+  }
+
+  private def assertCounts(st: MetricState, g: LocalGraph, k: Int, active: Set[Int], what: String): Unit = {
+    val (per, total) = bruteCliques(g, k, active)
+    assert(st.f == total.toDouble, s"$what: f")
+    (0 until g.n).foreach(v => assert(st.w(v) == (if (active(v)) per(v) else 0).toDouble, s"$what: w($v)"))
+  }
+
+  test("property: initial clique counts match brute force on tied, hub-heavy graphs") {
+    forAll(genTiedGraph, n = 20) { g =>
+      for (m <- Metric.cliqueMetrics; t <- Seq(1, 4))
+        assertCounts(new CliqueMetricState(g, m.k, t), g, m.k, (0 until g.n).toSet, s"${m.name} t=$t")
+    }
+  }
+
+  test("property: removeBatch matches brute force after each batch, identically at 1 and 4 threads") {
+    forAll(genTiedGraph, n = 15) { g =>
+      for (m <- Metric.cliqueMetrics) {
+        val st1 = new CliqueMetricState(g, m.k, 1)
+        val st4 = new CliqueMetricState(g, m.k, 4)
+        var active = (0 until g.n).toSet
+        val rnd = new scala.util.Random(g.n * 13L + g.m)
+        while (active.nonEmpty) {
+          // a random active vertex with some of its active neighbors (so
+          // batch members share cliques), plus random others
+          val u = active.toSeq(rnd.nextInt(active.size))
+          val size = 1 + rnd.nextInt(math.max(1, active.size / 2))
+          val batch = (Seq(u) ++ st1.activeNeighbors(u).filter(_ => rnd.nextBoolean()) ++
+            rnd.shuffle(active.toSeq)).distinct.take(size).toArray
+          st1.removeBatch(batch, 1)
+          st4.removeBatch(batch, 4)
+          active --= batch
+          assertCounts(st1, g, m.k, active, s"${m.name} t=1")
+          assert(st4.f == st1.f && (0 until g.n).forall(v => st4.w(v) == st1.w(v)), s"${m.name} t=4")
+          assert(st4.activeSet.sameElements(st1.activeSet) && st1.activeSet.sameElements(active.toSeq.sorted))
+        }
+      }
+    }
+  }
+
+  test("clique removeBatch rejects inactive and repeated vertices") {
+    val st = KCliDS(4).localState(TestGraphs.cliqueWithTail(5, 2))
+    assertThrows[IllegalArgumentException](st.removeBatch(Array(1, 1), 1))
+    st.remove(0)
+    assertThrows[IllegalArgumentException](st.removeBatch(Array(2, 0), 1))
   }
 
   test("Property 3.1: effective weights are non-negative for all metrics") {
