@@ -17,7 +17,8 @@ import org.apache.spark.sql.functions._
   * }}}
   *
   * - `VSusp` / `ESusp` define the metric (Property 3.1: both must be
-  *   non-negative; `g = f/|S|` monotone follows).
+  *   finite and non-negative, else `ParDetect` throws; `g = f/|S|`
+  *   monotone follows). Edge endpoints must be loaded vertices.
   * - `isBenign` marks vertices that are peeled in the first iteration.
   * - `setEpsilon` trades precision for throughput (τ = k(1+ε)g).
   * - `setK(k≥3)` switches to clique-count peeling (TDS at k=3, kCLiDS
@@ -58,9 +59,10 @@ final class Dupin(spark: SparkSession) {
       .withColumn("benign", benign.getOrElse(lit(false)))
     val benignIds = vAll.filter(col("benign")).select(col("id").cast("long"))
     val v = vAll.filter(!col("benign")).select(col("id").cast("long"), col("vw"))
-    val e0 = eRaw.withColumn("w", esusp.cast("double"))
+    val eW = eRaw.withColumn("w", esusp.cast("double"))
       .select(col("src").cast("long"), col("dst").cast("long"), col("w"))
-      .where(col("src") =!= col("dst"))
+    validate(vAll.select(col("id").cast("long"), col("vw")), eW)
+    val e0 = eW.where(col("src") =!= col("dst"))
       .select(least(col("src"), col("dst")).as("src"),
               greatest(col("dst"), col("src")).as("dst"), col("w"))
       .groupBy("src", "dst").agg(sum("w").as("w"))
@@ -75,6 +77,24 @@ final class Dupin(spark: SparkSession) {
       else SparkPeeling.runEdge(spark, v, e, 2, cfg)
     last = Some(res)
     res.bestSet
+  }
+
+  /** Bad input gets an error, never a wrong density: every edge endpoint
+    * must be a loaded vertex (benign ones included), and every VSusp and
+    * ESusp weight finite and non-negative (Property 3.1).
+    */
+  private def validate(v: DataFrame, e: DataFrame): Unit = {
+    def notWeight(c: Column): Column = isnan(c) || c < 0 || c === Double.PositiveInfinity
+    val dangling = e.select(col("src").as("id")).union(e.select(col("dst").as("id")))
+      .join(v, Seq("id"), "left_anti").limit(1).collect()
+    require(dangling.isEmpty,
+      s"edge endpoint ${dangling.head.get(0)} is not among the loaded vertices")
+    val badV = v.where(notWeight(col("vw"))).limit(1).collect()
+    require(badV.isEmpty, s"VSusp gives vertex ${badV.head.get(0)} weight " +
+      s"${badV.head.get(1)}; it must be finite and non-negative")
+    val badE = e.where(notWeight(col("w"))).limit(1).collect()
+    require(badE.isEmpty, s"ESusp gives edge (${badE.head.get(0)},${badE.head.get(1)}) " +
+      s"weight ${badE.head.get(2)}; it must be finite and non-negative")
   }
 
   /** Full result (density, rounds, pruning stats) of the last ParDetect. */

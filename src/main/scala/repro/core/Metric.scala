@@ -141,21 +141,8 @@ sealed abstract class CsrMetricState(g: LocalGraph) extends MetricState {
 
 /** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv. */
 final class EdgeMetricState(g: LocalGraph) extends CsrMetricState(g) {
-  private val wArr = {
-    val a = new Array[Double](n)
-    var u = 0
-    while (u < n) {
-      var s = g.vw(u); var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { s += g.ew(i); i += 1 }
-      a(u) = s; u += 1
-    }
-    a
-  }
-  private var fVal = {
-    var s = 0.0; var u = 0
-    while (u < n) { s += g.vw(u); u += 1 }
-    s + g.totalEdgeWeight
-  }
+  private val wArr = EdgeMetricState.initialWeights(g)
+  private var fVal = EdgeMetricState.initialF(g)
 
   def f: Double = fVal
   def w(u: Int): Double = wArr(u)
@@ -171,6 +158,33 @@ final class EdgeMetricState(g: LocalGraph) extends CsrMetricState(g) {
     }
     act(u) = false; wArr(u) = 0.0; cnt -= 1
     if (cnt == 0) fVal = 0.0
+  }
+}
+
+object EdgeMetricState {
+  // The init loops live in methods, not in the constructor's field
+  // initializers: there they run with `this` on the operand stack, HotSpot
+  // does not compile a loop on stack replacement from a non-empty stack,
+  // and the constructor is not called often enough to be compiled whole,
+  // so the loops would run interpreted.
+
+  /** w_u = a_u + Σ_{v∈N(u)} c_uv, summed in adjacency order. */
+  private def initialWeights(g: LocalGraph): Array[Double] = {
+    val a = new Array[Double](g.n)
+    var u = 0
+    while (u < g.n) {
+      var s = g.vw(u); var i = g.offsets(u)
+      while (i < g.offsets(u + 1)) { s += g.ew(i); i += 1 }
+      a(u) = s; u += 1
+    }
+    a
+  }
+
+  /** f(V) = Σ a_u + Σ c_uv. */
+  private def initialF(g: LocalGraph): Double = {
+    var s = 0.0; var u = 0
+    while (u < g.n) { s += g.vw(u); u += 1 }
+    s + g.totalEdgeWeight
   }
 }
 

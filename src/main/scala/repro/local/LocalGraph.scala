@@ -6,8 +6,8 @@ package repro.local
   * (paper's testbed is C++/OpenMP; see DESIGN.md §2). Vertices are dense
   * ints `[0, n)`. Each undirected edge {u,v} is stored twice (u→v and v→u)
   * with an aligned per-direction weight. Adjacency lists are sorted by
-  * neighbor id so membership tests are binary searches (needed by the
-  * clique metrics).
+  * neighbor id by construction (see [[LocalGraph.fromEdges]]), so
+  * membership tests are binary searches (needed by the clique metrics).
   *
   * @param n       number of vertices
   * @param offsets CSR row offsets, size n+1
@@ -81,51 +81,126 @@ final class LocalGraph(
 
 object LocalGraph {
 
-  /** Build from canonical undirected edge triples (src, dst, weight).
+  /** Property 3.1: a suspiciousness weight is finite and non-negative. */
+  private def isWeight(w: Double): Boolean = w >= 0.0 && w <= Double.MaxValue
+
+  /** Bucket starts of a counting sort of `keys(0 until m)` over `[0, n)`:
+    * key k owns slots `[start(k), start(k + 1))`, and `start(n) == m`.
+    */
+  private def bucketStarts(keys: Array[Int], m: Int, n: Int): Array[Int] = {
+    val start = new Array[Int](n + 1)
+    var i = 0
+    while (i < m) { start(keys(i) + 1) += 1; i += 1 }
+    var k = 0
+    while (k < n) { start(k + 1) += start(k); k += 1 }
+    start
+  }
+
+  /** Build from undirected edge triples (src, dst, weight), in either orientation.
     *
-    * Duplicate {u,v} pairs are coalesced by summing weights (multi-edges in
-    * transaction data add suspiciousness, matching the paper's DW usage).
-    * Self-loops are dropped.
+    * Duplicate {u,v} pairs are coalesced by summing weights in input order
+    * (multi-edges in transaction data add suspiciousness, matching the
+    * paper's DW usage). Self-loops are dropped. Edge and vertex weights must
+    * be finite and non-negative (Property 3.1), endpoints in `[0, n)`;
+    * anything else is an `IllegalArgumentException`.
+    *
+    * The build is sort-free in the comparison sense (as in GBBS): two stable
+    * counting sorts, by v then by u, put the canonical pairs in (u, v) order
+    * with duplicates still in input order; each run of equal pairs is
+    * summed left to right; the pairs are then scattered in (u, v) order, so
+    * every adjacency list comes out sorted — x first receives its smaller
+    * neighbors a from pairs (a, x), ascending, then its larger ones.
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int, Double)],
                 vertexWeights: Array[Double] = null): LocalGraph = {
-    val coalesced = new java.util.HashMap[Long, Double]()
-    edges.foreach { case (a, b, w) =>
-      if (a != b) {
-        val (u, v) = if (a < b) (a, b) else (b, a)
-        require(u >= 0 && v < n, s"edge ($a,$b) out of range [0,$n)")
-        val key = u.toLong * n + v
-        coalesced.merge(key, w, (x, y) => x + y)
-      }
-    }
-    val deg = new Array[Int](n)
-    coalesced.forEach { (key, _) =>
-      val u = (key / n).toInt; val v = (key % n).toInt
-      deg(u) += 1; deg(v) += 1
-    }
-    val offsets = new Array[Int](n + 1)
-    var u = 0
-    while (u < n) { offsets(u + 1) = offsets(u) + deg(u); u += 1 }
-    val pos  = offsets.clone()
-    val nbrs = new Array[Int](offsets(n))
-    val ew   = new Array[Double](offsets(n))
-    coalesced.forEach { (key, w) =>
-      val a = (key / n).toInt; val b = (key % n).toInt
-      nbrs(pos(a)) = b; ew(pos(a)) = w; pos(a) += 1
-      nbrs(pos(b)) = a; ew(pos(b)) = w; pos(b) += 1
-    }
-    // Sort each adjacency list (weights move with neighbors).
-    u = 0
-    while (u < n) {
-      val lo = offsets(u); val hi = offsets(u + 1)
-      val idx = (lo until hi).sortBy(nbrs)
-      val nn = idx.map(nbrs).toArray; val we = idx.map(ew).toArray
-      var i = lo
-      while (i < hi) { nbrs(i) = nn(i - lo); ew(i) = we(i - lo); i += 1 }
-      u += 1
-    }
     val vwArr = if (vertexWeights != null) vertexWeights else new Array[Double](n)
     require(vwArr.length == n, "vertexWeights length must equal n")
+    val badVertex = vwArr.indexWhere(w => !isWeight(w))
+    require(badVertex < 0,
+      s"vertex $badVertex weight ${vwArr(badVertex)} is not finite and non-negative")
+
+    // Canonical (u < v) pairs in primitive arrays, in input order.
+    var us = new Array[Int](math.max(edges.knownSize, 16))
+    var vs = new Array[Int](us.length)
+    var ws = new Array[Double](us.length)
+    var m = 0
+    val it = edges.iterator
+    while (it.hasNext) {
+      // Field reads and explicit throws: a tuple pattern would allocate a
+      // new tuple per edge, and `require`'s by-name message a closure.
+      val e = it.next(); val a = e._1; val b = e._2; val w = e._3
+      if (!isWeight(w))
+        throw new IllegalArgumentException(s"edge ($a,$b) weight $w is not finite and non-negative")
+      if (a != b) {
+        val u = math.min(a, b); val v = math.max(a, b)
+        if (u < 0 || v >= n) throw new IllegalArgumentException(s"edge ($a,$b) out of range [0,$n)")
+        if (m == us.length) {
+          us = java.util.Arrays.copyOf(us, 2 * m)
+          vs = java.util.Arrays.copyOf(vs, 2 * m)
+          ws = java.util.Arrays.copyOf(ws, 2 * m)
+        }
+        us(m) = u; vs(m) = v; ws(m) = w; m += 1
+      }
+    }
+
+    // Stable counting sort by v, into (u1, w1) bucketed by byV.
+    val byV = bucketStarts(vs, m, n)
+    val cur = byV.clone()
+    val u1 = new Array[Int](m); val w1 = new Array[Double](m)
+    var i = 0
+    while (i < m) {
+      val p = cur(vs(i)); cur(vs(i)) = p + 1
+      u1(p) = us(i); w1(p) = ws(i); i += 1
+    }
+    // Stable counting sort by u, back into (vs, ws): slots of u are in v order.
+    val byU = bucketStarts(us, m, n)
+    System.arraycopy(byU, 0, cur, 0, n + 1)
+    var v = 0
+    while (v < n) {
+      i = byV(v)
+      while (i < byV(v + 1)) {
+        val p = cur(u1(i)); cur(u1(i)) = p + 1
+        vs(p) = v; ws(p) = w1(i); i += 1
+      }
+      v += 1
+    }
+
+    // Coalesce runs of equal pairs in place; u's distinct pairs end up in
+    // [pairStart(u), pairStart(u + 1)). offsets(x + 1) counts x's degree.
+    val pairStart = new Array[Int](n + 1)
+    val offsets = new Array[Int](n + 1)
+    var k = 0
+    var u = 0
+    while (u < n) {
+      pairStart(u) = k
+      i = byU(u)
+      while (i < byU(u + 1)) {
+        val b = vs(i); var acc = ws(i); i += 1
+        while (i < byU(u + 1) && vs(i) == b) { acc += ws(i); i += 1 }
+        vs(k) = b; ws(k) = acc; k += 1
+        offsets(u + 1) += 1; offsets(b + 1) += 1
+      }
+      u += 1
+    }
+    pairStart(n) = k
+    u = 0
+    while (u < n) { offsets(u + 1) += offsets(u); u += 1 }
+
+    // Scatter both directions in (u, v) order: adjacency comes out sorted.
+    System.arraycopy(offsets, 0, cur, 0, n + 1)
+    val nbrs = new Array[Int](2 * k)
+    val ew   = new Array[Double](2 * k)
+    u = 0
+    while (u < n) {
+      i = pairStart(u)
+      while (i < pairStart(u + 1)) {
+        val b = vs(i); val w = ws(i)
+        nbrs(cur(u)) = b; ew(cur(u)) = w; cur(u) += 1
+        nbrs(cur(b)) = u; ew(cur(b)) = w; cur(b) += 1
+        i += 1
+      }
+      u += 1
+    }
     new LocalGraph(n, offsets, nbrs, ew, vwArr)
   }
 }

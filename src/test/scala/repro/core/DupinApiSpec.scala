@@ -83,6 +83,34 @@ class DupinApiSpec extends SparkSpec {
     assertThrows[IllegalStateException](dupin.lastResult)
   }
 
+  test("ParDetect rejects edges whose endpoints are not loaded vertices") {
+    val vertices = Seq(0L, 1L).toDF("id")
+    val edges = Seq((0L, 1L), (0L, 2L), (1L, 2L), (1L, 3L), (2L, 3L)).toDF("src", "dst")
+    val e = intercept[IllegalArgumentException] {
+      new Dupin(spark).LoadGraph(vertices, edges).ParDetect()
+    }
+    assert(e.getMessage.contains("not among the loaded vertices"), e.getMessage)
+  }
+
+  test("ParDetect rejects a NaN ESusp") {
+    val e = intercept[IllegalArgumentException] {
+      new Dupin(spark).ESusp(lit(Double.NaN))
+        .LoadGraph(exampleVertices, exampleEdges).ParDetect()
+    }
+    assert(e.getMessage.contains("NaN"), e.getMessage)
+  }
+
+  test("ParDetect rejects a negative ESusp or VSusp (Property 3.1)") {
+    assertThrows[IllegalArgumentException] {
+      new Dupin(spark).ESusp(-col("amount"))
+        .LoadGraph(exampleVertices, exampleEdges).ParDetect()
+    }
+    assertThrows[IllegalArgumentException] {
+      new Dupin(spark).VSusp(-col("prior") - 1.0)
+        .LoadGraph(exampleVertices, exampleEdges).ParDetect()
+    }
+  }
+
   test("larger epsilon never increases round count on the same graph") {
     val dupinA = new Dupin(spark).ESusp(col("amount")).setEpsilon(0.05)
       .setPruning(globalOpt = false, localOpt = false)

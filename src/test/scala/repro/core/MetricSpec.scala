@@ -82,6 +82,18 @@ class MetricSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](st.remove(0))
   }
 
+  test("property: EdgeMetricState initial w and f match a brute-force sum over canonicalEdges") {
+    forAll(TestGraphs.genGraph(maxN = 30, p = 0.3)) { raw =>
+      val g = FD.prepare(raw)
+      val st = new EdgeMetricState(g)
+      val w = g.vw.clone()
+      var f = g.vw.sum
+      for ((u, v, c) <- g.canonicalEdges) { w(u) += c; w(v) += c; f += c }
+      for (u <- 0 until g.n) assert(math.abs(st.w(u) - w(u)) <= 1e-12 * (1 + w(u)), s"w($u)")
+      assert(math.abs(st.f - f) <= 1e-12 * (1 + f), "f")
+    }
+  }
+
   test("property: incremental weights match direct recomputation (DW)") {
     forAll(TestGraphs.genGraph(maxN = 9), n = 25) { g =>
       val st = DW.localState(g)
